@@ -19,16 +19,19 @@ import (
 //     import with //lint:allow determinism and a justification.
 //   - package-level math/rand functions and time.Now: ambient
 //     process-global entropy and wall-clock reads.
-//   - emitting output while ranging over a map: Go map iteration order
-//     is deliberately randomized, so any print/write inside such a
-//     loop produces run-dependent output; sort the keys first.
+//   - emitting output or drawing from a seeded RNG while ranging over
+//     a map: Go map iteration order is deliberately randomized, so any
+//     print/write inside such a loop produces run-dependent output,
+//     and any draw from a math/rand source (what internal/stats.NewRNG
+//     returns) hands the random stream to the entries in run-dependent
+//     order; sort the keys first.
 //
 // internal/stats (the sanctioned RNG home) and internal/obs (the
 // observability layer, whose entire job is reading the wall clock) are
 // exempt by construction.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "forbids math/rand, time.Now, and map-iteration-ordered output in " +
+	Doc: "forbids math/rand, time.Now, and map-iteration-ordered output or RNG draws in " +
 		"library packages outside internal/stats and internal/obs; sampling " +
 		"goes through seeded RNGs from internal/stats",
 	AppliesTo: func(path string) bool {
@@ -90,8 +93,8 @@ func runDeterminism(pass *analysis.Pass) {
 	}
 }
 
-// checkMapRangeOutput flags print/write calls whose output order is
-// dictated by map iteration.
+// checkMapRangeOutput flags print/write calls and seeded-RNG draws
+// whose order is dictated by map iteration.
 func checkMapRangeOutput(pass *analysis.Pass, rng *ast.RangeStmt) {
 	tv, ok := pass.Pkg.TypesInfo.Types[rng.X]
 	if !ok {
@@ -109,8 +112,39 @@ func checkMapRangeOutput(pass *analysis.Pass, rng *ast.RangeStmt) {
 			pass.Report(call.Pos(),
 				"call to "+name+" inside range over map emits output in nondeterministic order; collect and sort the keys first")
 		}
+		if name, ok := rngCallName(pass, call); ok {
+			pass.Report(call.Pos(),
+				"call to "+name+" inside range over map draws from a seeded RNG in nondeterministic order; collect and sort the keys first")
+		}
 		return true
 	})
+}
+
+// rngCallName reports whether call is a method call on a math/rand or
+// math/rand/v2 type (a *rand.Rand from internal/stats.NewRNG, a
+// rand.Source, ...).
+func rngCallName(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	s := pass.Pkg.TypesInfo.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return "", false
+	}
+	t := s.Recv()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return "", false
+	}
+	switch named.Obj().Pkg().Path() {
+	case "math/rand", "math/rand/v2":
+		return "rand." + named.Obj().Name() + "." + sel.Sel.Name, true
+	}
+	return "", false
 }
 
 // outputCallName reports whether call emits ordered output: the fmt

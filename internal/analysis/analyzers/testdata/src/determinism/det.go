@@ -44,3 +44,25 @@ func ordered(m map[string]int) {
 		fmt.Println(k, m[k])
 	}
 }
+
+// oversampleCells is the shape of a per-cell oversampler that visits
+// its cells in map order: every draw from the seeded RNG lands on a
+// different cell from run to run, so the same seed gives different
+// synthetic rows.
+func oversampleCells(cells map[uint64][]int, target int, r *rand.Rand) []int {
+	var picks []int
+	for _, cell := range cells {
+		for add := target - len(cell); add > 0; add-- {
+			picks = append(picks, cell[r.Intn(len(cell))]) // want "seeded RNG"
+		}
+	}
+	return picks
+}
+
+func waivedDraw(single map[string][]int, r *rand.Rand) int {
+	for _, cell := range single {
+		//lint:allow determinism fixture: the map holds one entry by construction
+		return cell[r.Intn(len(cell))]
+	}
+	return -1
+}

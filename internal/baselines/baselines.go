@@ -36,19 +36,11 @@ type Preprocessor interface {
 }
 
 // leafCells groups instance indices by their full protected-attribute
-// assignment (the leaf subgroups), keyed by pattern key. The shared
-// substrate of the reweighting-family baselines.
-func leafCells(d *dataset.Dataset, sp *pattern.Space) map[uint64][]int {
-	dim := sp.Dim()
-	cells := make(map[uint64][]int)
-	for i, row := range d.Rows {
-		var k uint64
-		for s := 0; s < dim; s++ {
-			k |= uint64(row[sp.AttrIdx[s]]+1) << uint(5*s)
-		}
-		cells[k] = append(cells[k], i)
-	}
-	return cells
+// assignment (the leaf subgroups), in ascending pattern-key order so
+// the seeded baselines draw from their RNG in a fixed cell order. The
+// shared substrate of the reweighting-family baselines.
+func leafCells(d *dataset.Dataset, sp *pattern.Space) []pattern.RowGroup {
+	return sp.GroupRows(d, uint32(1)<<uint(sp.Dim())-1)
 }
 
 // splitByLabel partitions instance indices by their label.

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -52,12 +53,12 @@ func cellWeightShares(t *testing.T, d *dataset.Dataset) map[string][2]float64 {
 		t.Fatal(err)
 	}
 	out := map[string][2]float64{}
-	for k, idx := range leafCells(d, sp) {
+	for _, leaf := range leafCells(d, sp) {
 		var byClass [2]float64
-		for _, i := range idx {
+		for _, i := range leaf.Rows {
 			byClass[d.Labels[i]] += d.Weight(i)
 		}
-		out[sp.String(sp.DecodeKey(k))] = byClass
+		out[sp.String(sp.DecodeKey(leaf.Key))] = byClass
 	}
 	return out
 }
@@ -84,13 +85,13 @@ func TestReweightingEqualizesClassDistribution(t *testing.T) {
 	}
 	// Weight mass per subgroup stays equal to the subgroup size.
 	sp, _ := pattern.NewSpace(d.Schema)
-	for k, idx := range leafCells(out, sp) {
+	for _, leaf := range leafCells(out, sp) {
 		var mass float64
-		for _, i := range idx {
+		for _, i := range leaf.Rows {
 			mass += out.Weight(i)
 		}
-		if math.Abs(mass-float64(len(idx))) > 1e-6 {
-			t.Fatalf("cell %s mass %v != size %d", sp.String(sp.DecodeKey(k)), mass, len(idx))
+		if math.Abs(mass-float64(len(leaf.Rows))) > 1e-6 {
+			t.Fatalf("cell %s mass %v != size %d", sp.String(sp.DecodeKey(leaf.Key)), mass, len(leaf.Rows))
 		}
 	}
 }
@@ -215,14 +216,14 @@ func TestFairSMOTEBalancesCells(t *testing.T) {
 		t.Fatal("Fair-SMOTE should add synthetic rows")
 	}
 	sp, _ := pattern.NewSpace(out.Schema)
-	for k, idx := range leafCells(out, sp) {
-		pos, neg := splitByLabel(out, idx)
+	for _, leaf := range leafCells(out, sp) {
+		pos, neg := splitByLabel(out, leaf.Rows)
 		if len(pos) == 0 || len(neg) == 0 {
 			continue
 		}
 		if len(pos) != len(neg) {
 			t.Fatalf("cell %s: %d pos vs %d neg after Fair-SMOTE",
-				sp.String(sp.DecodeKey(k)), len(pos), len(neg))
+				sp.String(sp.DecodeKey(leaf.Key)), len(pos), len(neg))
 		}
 	}
 	if err := out.Validate(); err != nil {
@@ -240,17 +241,37 @@ func TestFairSMOTESyntheticRowsStayInCell(t *testing.T) {
 	// real cell (crossover cannot mix protected values because both
 	// parents share them).
 	sp, _ := pattern.NewSpace(d.Schema)
+	full := uint32(1)<<uint(sp.Dim()) - 1
 	real := map[uint64]bool{}
-	for k := range leafCells(d, sp) {
-		real[k] = true
+	for _, leaf := range leafCells(d, sp) {
+		real[leaf.Key] = true
 	}
 	for i := d.Len(); i < out.Len(); i++ {
-		var k uint64
-		for s := 0; s < sp.Dim(); s++ {
-			k |= uint64(out.Rows[i][sp.AttrIdx[s]]+1) << uint(5*s)
-		}
-		if !real[k] {
+		if !real[sp.RowKey(out.Rows[i], full)] {
 			t.Fatal("synthetic row landed in a nonexistent subgroup")
+		}
+	}
+}
+
+// Fair-SMOTE draws every synthetic row from one seeded RNG, so the
+// order it visits the leaf cells in decides the output: the same seed
+// must give the same bytes on every run.
+func TestFairSMOTEDeterministic(t *testing.T) {
+	d := synth.CompasN(2000, 1)
+	var first []byte
+	for run := 0; run < 5; run++ {
+		out, err := FairSMOTE{Seed: 1}.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := out.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("run %d output differs from run 0", run)
 		}
 	}
 }

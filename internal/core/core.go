@@ -72,9 +72,9 @@ type Config struct {
 	// T=1, and only supported by the naïve algorithm).
 	OrderedDistance bool
 	// Workers, when above 1, parallelizes the optimized identification:
-	// the hierarchy is preloaded with one sharded counting pass and the
-	// per-node scans are fanned out across that many goroutines. The
-	// result is identical to the sequential run.
+	// the node count tables are preloaded and the per-node scans are
+	// fanned out across that many goroutines. The result is identical
+	// to the sequential run.
 	Workers int
 	// EuclideanT, when positive, selects the fully general Def. 4
 	// metric: the neighboring region is the Euclidean ball of this
@@ -389,7 +389,7 @@ func (h *Hierarchy) FlipRow(row []int32, nowPositive bool) {
 	}
 	h.totals.Pos += delta
 	for mask, table := range h.tables {
-		k := h.rowKey(row, mask)
+		k := h.Space.RowKey(row, mask)
 		c := table[k]
 		c.Pos += delta
 		table[k] = c
@@ -402,7 +402,7 @@ func (h *Hierarchy) adjust(row []int32, positive bool, delta int) {
 		h.totals.Pos += delta
 	}
 	for mask, table := range h.tables {
-		k := h.rowKey(row, mask)
+		k := h.Space.RowKey(row, mask)
 		c := table[k]
 		c.N += delta
 		if positive {
@@ -410,17 +410,6 @@ func (h *Hierarchy) adjust(row []int32, positive bool, delta int) {
 		}
 		table[k] = c
 	}
-}
-
-// rowKey computes the masked projection key of a row.
-func (h *Hierarchy) rowKey(row []int32, mask uint32) uint64 {
-	var k uint64
-	for s := 0; s < h.Space.Dim(); s++ {
-		if mask&(1<<uint(s)) != 0 {
-			k |= uint64(row[h.Space.AttrIdx[s]]+1) << uint(5*s)
-		}
-	}
-	return k
 }
 
 // masksForScope returns the node masks to traverse, in bottom-up

@@ -308,8 +308,9 @@ func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Resu
 	return res, c.err
 }
 
-// identifyOptimizedParallel preloads every node table with a sharded
-// counting pass and scans the nodes concurrently. After Preload the
+// identifyOptimizedParallel preloads every node table with per-node
+// counting passes fanned out across workers and scans the nodes
+// concurrently. After Preload the
 // tables are read-only, so the per-node scans share them without
 // synchronization; each goroutine accumulates into a private Result and
 // the shards merge deterministically.

@@ -11,7 +11,6 @@ package divexplorer
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/dataset"
@@ -119,29 +118,17 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 	defer span.End()
 
 	// One pass: accumulate confusion cells for all 2^dim projections of
-	// every row, exactly like pattern.CountAll.
-	dim := sp.Dim()
-	nMasks := 1 << uint(dim)
+	// every row — pattern.CountAll's loop with a confusion accumulator.
 	cells := make(map[uint64]confCell, 1024)
-	contrib := make([]uint64, dim)
-	for i, row := range d.Rows {
+	var cancelled error
+	sp.ProjectRows(d, func(i int, keys []uint64) bool {
 		if i%exploreCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if cancelled = ctx.Err(); cancelled != nil {
+				return false
 			}
-		}
-		for s := 0; s < dim; s++ {
-			contrib[s] = uint64(row[sp.AttrIdx[s]]+1) << uint(5*s)
 		}
 		y, p := int(d.Labels[i]), preds[i]
-		for m := 0; m < nMasks; m++ {
-			var k uint64
-			mm := m
-			for mm != 0 {
-				s := bits.TrailingZeros(uint(mm))
-				k |= contrib[s]
-				mm &^= 1 << uint(s)
-			}
+		for _, k := range keys {
 			c := cells[k]
 			switch {
 			case y == 1 && p == 1:
@@ -155,9 +142,13 @@ func ExploreCtx(ctx context.Context, d *dataset.Dataset, preds []int, stat fairn
 			}
 			cells[k] = c
 		}
+		return true
+	})
+	if cancelled != nil {
+		return nil, cancelled
 	}
 
-	rootKey := sp.Key(pattern.NewPattern(dim))
+	rootKey := sp.Key(pattern.NewPattern(sp.Dim()))
 	overall := cells[rootKey].conf()
 	rep := &Report{
 		Space:       sp,

@@ -243,6 +243,30 @@ func TestTable3Shapes(t *testing.T) {
 	}
 }
 
+// Table III must regenerate from its seed: every method's violation
+// and accuracy are identical across runs (wall-clock Seconds aside).
+func TestTable3Reproducible(t *testing.T) {
+	scores := func() []Table3Row {
+		res, err := Table3(1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Rows {
+			res.Rows[i].Seconds = 0
+		}
+		return res.Rows
+	}
+	first, second := scores(), scores()
+	if len(first) != len(second) {
+		t.Fatalf("run 1 has %d rows, run 2 %d", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("row %d differs between runs: %+v vs %+v", i, first[i], second[i])
+		}
+	}
+}
+
 func TestFig9aOptimizedDoesLessWork(t *testing.T) {
 	res, err := Fig9a(1, true)
 	if err != nil {

@@ -165,10 +165,28 @@ func (sp *Space) MatchRow(p Pattern, row []int32) bool {
 func (sp *Space) Key(p Pattern) uint64 {
 	var k uint64
 	for i, v := range p {
-		k |= uint64(v+1) << uint(5*i)
+		k |= slotKey(i, int32(v))
 	}
 	return k
 }
+
+// RowKey returns the key of the region of node mask that contains row:
+// Key of the row's values on the mask's slots, wildcards elsewhere.
+// Every grouping of rows by region goes through it.
+func (sp *Space) RowKey(row []int32, mask uint32) uint64 {
+	var k uint64
+	attrs := sp.AttrIdx
+	for m := mask; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros32(m)
+		k |= slotKey(s, row[attrs[s]])
+	}
+	return k
+}
+
+// slotKey is slot s's share of a key when it holds value code v
+// (Wildcard contributes nothing). s < MaxDim keeps the shift below 64;
+// the mask only spares the compiler the oversized-shift check.
+func slotKey(s int, v int32) uint64 { return uint64(v+1) << uint(5*s&63) }
 
 // DecodeKey inverts Key.
 func (sp *Space) DecodeKey(k uint64) Pattern {

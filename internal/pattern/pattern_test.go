@@ -1,12 +1,15 @@
 package pattern
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
+	"repro/internal/synth"
 )
 
 func testSchema() *dataset.Schema {
@@ -30,7 +33,7 @@ func testSpace(t *testing.T) *Space {
 	return sp
 }
 
-func testData(t *testing.T, n int, seed int64) (*Space, *dataset.Dataset) {
+func testData(t testing.TB, n int, seed int64) (*Space, *dataset.Dataset) {
 	t.Helper()
 	s := testSchema()
 	d := dataset.New(s)
@@ -44,6 +47,33 @@ func testData(t *testing.T, n int, seed int64) (*Space, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	return sp, d
+}
+
+// oracleInput is a dataset the counting and row-grouping kernels are
+// checked against the brute-force scans on.
+type oracleInput struct {
+	name string
+	sp   *Space
+	d    *dataset.Dataset
+}
+
+// oracleInputs are the 3-attribute test space, COMPAS (3 protected
+// attributes) and a small Adult (6).
+func oracleInputs(t *testing.T) []oracleInput {
+	t.Helper()
+	sp, d := testData(t, 500, 7)
+	inputs := []oracleInput{{"synthetic", sp, d}}
+	for _, in := range []oracleInput{
+		{name: "compas", d: synth.CompasN(600, 1)},
+		{name: "adult", d: synth.AdultN(400, 1)},
+	} {
+		var err error
+		if in.sp, err = NewSpace(in.d.Schema); err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, in)
+	}
+	return inputs
 }
 
 func TestNewSpaceErrors(t *testing.T) {
@@ -354,16 +384,44 @@ func TestCountAllMatchesBruteForce(t *testing.T) {
 }
 
 func TestCountNodeMatchesCountAll(t *testing.T) {
-	sp, d := testData(t, 500, 7)
-	all := sp.CountAll(d)
-	for _, m := range sp.Masks() {
-		node := sp.CountNode(d, m)
-		sp.EnumerateNode(m, func(p Pattern) {
-			k := sp.Key(p)
-			if node[k] != all[k] {
-				t.Fatalf("node/all mismatch at %v", sp.String(p))
+	for _, in := range oracleInputs(t) {
+		sp, d := in.sp, in.d
+		all := sp.CountAll(d)
+		n := 0
+		for _, m := range sp.Masks() {
+			node := sp.CountNode(d, m)
+			for k, c := range node {
+				if all[k] != c {
+					t.Fatalf("%s: node/all mismatch at %v", in.name, sp.String(sp.DecodeKey(k)))
+				}
 			}
-		})
+			n += len(node)
+		}
+		if n != len(all) {
+			t.Fatalf("%s: nodes hold %d regions, CountAll %d", in.name, n, len(all))
+		}
+	}
+}
+
+// Splitting the lattice by node: each CountNode table holds only keys of
+// its own mask, and together the tables hold exactly CountAll's entries.
+func TestSplitByMask(t *testing.T) {
+	sp, d := testData(t, 500, 47)
+	table := sp.CountAll(d)
+	total := 0
+	for _, mask := range sp.Masks() {
+		for k, c := range sp.CountNode(d, mask) {
+			if p := sp.DecodeKey(k); p.Mask() != mask {
+				t.Fatalf("key %d filed under mask %b but has mask %b", k, mask, p.Mask())
+			}
+			if table[k] != c {
+				t.Fatal("split changed counts")
+			}
+			total++
+		}
+	}
+	if total != len(table) {
+		t.Fatalf("split covers %d of %d entries", total, len(table))
 	}
 }
 
@@ -403,6 +461,49 @@ func TestRowsIn(t *testing.T) {
 			t.Fatalf("row %d does not match", i)
 		}
 	}
+	// The row-key function, the grouping pass and the key-filtered pass
+	// must agree with the scans on every region of every node. The
+	// key-filtered pass gets the whole lattice at once, so regions of
+	// different nodes overlap as in the one-shot remedy.
+	for _, in := range oracleInputs(t) {
+		sp, d := in.sp, in.d
+		var lattice []Pattern
+		for _, m := range sp.Masks() {
+			sp.EnumerateNode(m, func(p Pattern) { lattice = append(lattice, p.Clone()) })
+		}
+		each := sp.RowsInEach(d, lattice)
+		for _, m := range sp.Masks() {
+			for _, row := range d.Rows {
+				q := NewPattern(sp.Dim())
+				for s := range q {
+					if m&(1<<uint(s)) != 0 {
+						q[s] = int16(row[sp.AttrIdx[s]])
+					}
+				}
+				if got, want := sp.RowKey(row, m), sp.Key(q); got != want {
+					t.Fatalf("%s: RowKey(%v, %#x) = %#x, Key = %#x", in.name, row, m, got, want)
+				}
+			}
+			var populated []RowGroup
+			sp.EnumerateNode(m, func(p Pattern) {
+				want := sp.RowsIn(d, p)
+				if got := each[sp.Key(p)]; !slices.Equal(got, want) {
+					t.Fatalf("%s: RowsInEach and RowsIn disagree on %v (%d vs %d rows)",
+						in.name, sp.String(p), len(got), len(want))
+				}
+				if len(want) > 0 {
+					populated = append(populated, RowGroup{Key: sp.Key(p), Rows: want})
+				}
+			})
+			slices.SortFunc(populated, func(a, b RowGroup) int { return cmp.Compare(a.Key, b.Key) })
+			groups := sp.GroupRows(d, m)
+			if !slices.EqualFunc(groups, populated, func(a, b RowGroup) bool {
+				return a.Key == b.Key && slices.Equal(a.Rows, b.Rows)
+			}) {
+				t.Fatalf("%s: GroupRows(%#x) disagrees with RowsIn", in.name, m)
+			}
+		}
+	}
 }
 
 // Property: for random data, the optimized neighbor-count identity holds:
@@ -436,5 +537,14 @@ func TestParentNeighborIdentity(t *testing.T) {
 				t.Fatalf("identity broken at %v: %+v vs %+v", sp.String(p), viaParents, direct)
 			}
 		})
+	}
+}
+
+func BenchmarkCountAll(b *testing.B) {
+	sp, d := testData(b, 5000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp.CountAll(d)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faults"
-	"repro/internal/index"
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/pattern"
@@ -250,13 +249,11 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 	if opts.OneShot {
 		return applyOneShot(ctx, cur, h, opts, rng, rep, needRanker)
 	}
-	// Region row sets come from a bitmap index over the current
-	// snapshot. Within a node the regions are disjoint, so appends and
-	// label flips cannot perturb a sibling's row set — only removals
-	// (which re-index the dataset) invalidate the index mid-node; then
-	// we fall back to scans until the node boundary rebuild.
-	var ix *index.Index
-	ixStale := true
+	// Each node's region row sets come from one key-filtered pass over
+	// the current dataset. Within a node the regions are disjoint, so
+	// appends and label flips cannot perturb a sibling's row set — only
+	// removals (which re-index the dataset) invalidate the pass mid-node;
+	// then we fall back to scans until the node boundary.
 	for _, mask := range h.MasksForScope(opts.Identify.Scope) {
 		if err := ctx.Err(); err != nil {
 			return nil, rep, err
@@ -287,10 +284,7 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 			}
 			scores = nb.ProbaDataset(cur)
 		}
-		if ixStale {
-			ix = index.Build(cur)
-			ixStale = false
-		}
+		nodeRows := regionRows(h.Space, cur, regions)
 		changed := false
 		var muts []mutation
 		for _, r := range regions {
@@ -298,10 +292,10 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 				return nil, rep, err
 			}
 			var rows []int
-			if ixStale {
+			if nodeRows == nil {
 				rows = h.Space.RowsIn(cur, r.Pattern)
 			} else {
-				rows = ix.RowsIn(h.Space, r.Pattern)
+				rows = nodeRows[h.Space.Key(r.Pattern)]
 			}
 			// Each region gets its own action span with the outcome
 			// stamped on it; the pattern string is only rendered when a
@@ -329,22 +323,29 @@ func ApplyCtx(ctx context.Context, d *dataset.Dataset, opts Options) (*dataset.D
 				return nil, rep, ErrResourceLimit
 			}
 			if act.Removed > 0 {
-				ixStale = true
+				nodeRows = nil
 			}
 			if act.Added+act.Removed+act.Flipped > 0 {
 				changed = true
 			}
 		}
-		if changed {
-			if opts.Recount {
-				// Ablation: discard and recount every node table, as a
-				// straightforward implementation of Algorithm 2 would.
-				h.SetData(cur)
-			}
-			ixStale = true
+		if changed && opts.Recount {
+			// Ablation: discard and recount every node table, as a
+			// straightforward implementation of Algorithm 2 would.
+			h.SetData(cur)
 		}
 	}
 	return cur, rep, nil
+}
+
+// regionRows maps each region's key to its rows in d, from one
+// key-filtered pass.
+func regionRows(sp *pattern.Space, d *dataset.Dataset, regions []core.Region) map[uint64][]int {
+	ps := make([]pattern.Pattern, len(regions))
+	for i := range regions {
+		ps[i] = regions[i].Pattern
+	}
+	return sp.RowsInEach(d, ps)
 }
 
 // applyMutations folds recorded dataset changes into the hierarchy's
@@ -384,10 +385,10 @@ func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, 
 		scores = nb.ProbaDataset(cur)
 	}
 	// One-shot regions span different nodes and may overlap (a region
-	// can dominate another), so the bitmap index is only trusted while
-	// the dataset is untouched; any mutation switches row lookup to
-	// scans.
-	ix := index.Build(cur)
+	// can dominate another), so the one-pass row sets are only trusted
+	// while the dataset has gained or lost no rows; afterwards row
+	// lookup switches to scans.
+	allRows := regionRows(h.Space, cur, res.Regions)
 	for _, r := range res.Regions {
 		if err := ctx.Err(); err != nil {
 			return nil, rep, err
@@ -405,10 +406,10 @@ func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, 
 			scores = nb.ProbaDataset(cur)
 		}
 		var rows []int
-		if ix != nil {
-			rows = ix.RowsIn(h.Space, r.Pattern)
-		} else {
+		if allRows == nil {
 			rows = h.Space.RowsIn(cur, r.Pattern)
+		} else {
+			rows = allRows[h.Space.Key(r.Pattern)]
 		}
 		_, rsp := obs.StartSpan(ctx, "remedy.region")
 		if rsp != nil {
@@ -422,7 +423,7 @@ func applyOneShot(ctx context.Context, cur *dataset.Dataset, h *core.Hierarchy, 
 			// Label flips leave row membership intact; only appends and
 			// removals change which rows a later (possibly overlapping)
 			// region matches.
-			ix = nil
+			allRows = nil
 		}
 		rep.Actions = append(rep.Actions, act)
 		rep.Added += act.Added
@@ -444,7 +445,7 @@ func checkConfig(cfg core.Config) error {
 
 // applyRegion remedies one biased region in place (on cur) and returns
 // the action taken. rows are the indices of cur's instances in the
-// region (from the bitmap index or a scan); scores is the ranker's
+// region (from a key-filtered pass or a scan); scores is the ranker's
 // P(y=1|x) per instance, only present for the ranker-based techniques.
 func applyRegion(cur *dataset.Dataset, r core.Region, rows []int, tech Technique, scores []float64, muts *[]mutation, rng interface {
 	Intn(int) int
