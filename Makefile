@@ -131,9 +131,15 @@ OUT ?= BENCH_dev.json
 bench:
 	sh scripts/bench.sh $(OUT)
 
+# fuzz runs every fuzz target in turn: the CSV reader and the journal
+# replay longest, the other four briefly.
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzJournalReplay -fuzztime 30s
+	$(GO) test ./internal/durable/ -fuzz FuzzSnapshotDecode -fuzztime 10s
+	$(GO) test ./internal/dataset/ -fuzz FuzzBucketize -fuzztime 10s
+	$(GO) test ./internal/pattern/ -fuzz FuzzKeyRoundTrip -fuzztime 10s
+	$(GO) test ./internal/pattern/ -fuzz FuzzDominanceConsistency -fuzztime 10s
 
 check: build vet lint obs-check serve-check durable-check cluster-check chaos-check obs-fleet-check load-check race
 	@echo "all checks passed"

@@ -26,12 +26,12 @@ func TestParseScope(t *testing.T) {
 		"TOP":     core.Top,
 	}
 	for in, want := range cases {
-		got, err := parseScope(in)
+		got, err := core.ParseScope(in)
 		if err != nil || got != want {
-			t.Fatalf("parseScope(%q) = %v, %v", in, got, err)
+			t.Fatalf("core.ParseScope(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseScope("sideways"); err == nil {
+	if _, err := core.ParseScope("sideways"); err == nil {
 		t.Fatal("unknown scope must error")
 	}
 }

@@ -24,7 +24,8 @@ import (
 //     print/write inside such a loop produces run-dependent output,
 //     and any draw from a math/rand source (what internal/stats.NewRNG
 //     returns) hands the random stream to the entries in run-dependent
-//     order; sort the keys first.
+//     order; sort the keys first. Passing such a source to a call
+//     inside the loop (helper(..., rng)) counts as a draw.
 //
 // internal/stats (the sanctioned RNG home) and internal/obs (the
 // observability layer, whose entire job is reading the wall clock) are
@@ -116,8 +117,32 @@ func checkMapRangeOutput(pass *analysis.Pass, rng *ast.RangeStmt) {
 			pass.Report(call.Pos(),
 				"call to "+name+" inside range over map draws from a seeded RNG in nondeterministic order; collect and sort the keys first")
 		}
+		for _, arg := range call.Args {
+			if name, ok := randTypeName(pass.Pkg.TypesInfo.TypeOf(arg)); ok {
+				pass.Report(call.Pos(),
+					"call to "+types.ExprString(call.Fun)+" inside range over map passes a seeded RNG ("+name+") that may draw in nondeterministic order; collect and sort the keys first")
+				break
+			}
+		}
 		return true
 	})
+}
+
+// randTypeName reports whether t is a math/rand or math/rand/v2 named
+// type or a pointer to one, returning its qualified name.
+func randTypeName(t types.Type) (string, bool) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return "", false
+	}
+	switch named.Obj().Pkg().Path() {
+	case "math/rand", "math/rand/v2":
+		return "rand." + named.Obj().Name(), true
+	}
+	return "", false
 }
 
 // rngCallName reports whether call is a method call on a math/rand or
@@ -132,19 +157,11 @@ func rngCallName(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	if s == nil || s.Kind() != types.MethodVal {
 		return "", false
 	}
-	t := s.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+	name, ok := randTypeName(s.Recv())
+	if !ok {
 		return "", false
 	}
-	switch named.Obj().Pkg().Path() {
-	case "math/rand", "math/rand/v2":
-		return "rand." + named.Obj().Name() + "." + sel.Sel.Name, true
-	}
-	return "", false
+	return name + "." + sel.Sel.Name, true
 }
 
 // outputCallName reports whether call emits ordered output: the fmt

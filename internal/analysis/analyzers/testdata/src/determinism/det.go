@@ -66,3 +66,25 @@ func waivedDraw(single map[string][]int, r *rand.Rand) int {
 	}
 	return -1
 }
+
+// pickFrom draws on behalf of its caller: handing it the RNG inside a
+// map range is a draw in map order all the same.
+func pickFrom(cell []int, r *rand.Rand) int {
+	return cell[r.Intn(len(cell))]
+}
+
+func delegatedDraw(cells map[uint64][]int, r *rand.Rand) []int {
+	var picks []int
+	for _, cell := range cells {
+		picks = append(picks, pickFrom(cell, r)) // want "passes a seeded RNG"
+	}
+	return picks
+}
+
+func waivedDelegatedDraw(single map[string][]int, r *rand.Rand) int {
+	for _, cell := range single {
+		//lint:allow determinism fixture: the map holds one entry by construction
+		return pickFrom(cell, r)
+	}
+	return -1
+}

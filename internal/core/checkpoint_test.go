@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -82,7 +83,7 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 		res := mustIdentify(t, IdentifyOptimized, d, rcfg)
 		identicalResults(t, res, full)
 
-		// The parallel traversal honors the same snapshots.
+		// The pooled traversal honors the same snapshots.
 		pcfg := rcfg
 		pcfg.Workers = 4
 		pres := mustIdentify(t, IdentifyOptimized, d, pcfg)
@@ -142,19 +143,28 @@ func TestOnLevelErrorAbortsTraversal(t *testing.T) {
 	}
 }
 
+// TestOnLevelForcesSequentialPath: setting OnLevel keeps the pooled
+// path; a Workers=4 run checkpoints the same three levels, with the
+// same snapshots, as a sequential run.
 func TestOnLevelForcesSequentialPath(t *testing.T) {
 	d := biasedData(t)
-	var snaps []LevelSnapshot
-	cfg := Config{TauC: 0.2, T: 1, Workers: 4, OnLevel: func(_ context.Context, snap LevelSnapshot) error {
-		snaps = append(snaps, snap)
-		return nil
-	}}
-	res := mustIdentify(t, IdentifyOptimized, d, cfg)
-	if len(snaps) != 3 {
-		t.Fatalf("got %d snapshots with Workers=4, want 3 (sequential fallback)", len(snaps))
+	run := func(workers int) (*Result, []LevelSnapshot) {
+		var snaps []LevelSnapshot
+		cfg := Config{TauC: 0.2, T: 1, Workers: workers, OnLevel: func(_ context.Context, snap LevelSnapshot) error {
+			snaps = append(snaps, snap)
+			return nil
+		}}
+		return mustIdentify(t, IdentifyOptimized, d, cfg), snaps
 	}
-	full := mustIdentify(t, IdentifyOptimized, d, Config{TauC: 0.2, T: 1})
-	identicalResults(t, res, full)
+	seq, seqSnaps := run(0)
+	par, parSnaps := run(4)
+	if len(parSnaps) != 3 {
+		t.Fatalf("got %d snapshots with Workers=4, want 3 (one per level, as sequential)", len(parSnaps))
+	}
+	if !reflect.DeepEqual(parSnaps, seqSnaps) {
+		t.Fatalf("Workers=4 snapshots differ from sequential:\n got %+v\nwant %+v", parSnaps, seqSnaps)
+	}
+	identicalResults(t, par, seq)
 }
 
 func TestCheckpointConfigValidation(t *testing.T) {

@@ -14,9 +14,8 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
+	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
@@ -53,6 +52,20 @@ func (s Scope) String() string {
 	return fmt.Sprintf("Scope(%d)", int(s))
 }
 
+// ParseScope resolves a scope name (case-insensitive), the inverse of
+// Scope.String.
+func ParseScope(s string) (Scope, error) {
+	switch strings.ToLower(s) {
+	case "lattice":
+		return Lattice, nil
+	case "leaf":
+		return Leaf, nil
+	case "top":
+		return Top, nil
+	}
+	return 0, fmt.Errorf("unknown scope %q (lattice, leaf, top)", s)
+}
+
 // Config carries the IBS identification parameters.
 type Config struct {
 	// TauC is the imbalance threshold τ_c of Def. 5.
@@ -72,9 +85,10 @@ type Config struct {
 	// T=1, and only supported by the naïve algorithm).
 	OrderedDistance bool
 	// Workers, when above 1, parallelizes the optimized identification:
-	// the node count tables are preloaded and the per-node scans are
-	// fanned out across that many goroutines. The result is identical
-	// to the sequential run.
+	// the node count tables are preloaded and the per-node scans run on
+	// that many goroutines. At 0 or 1 every node is scanned inline on
+	// the calling goroutine. The Result, the OnLevel snapshots and
+	// Resume behave identically at every value.
 	Workers int
 	// EuclideanT, when positive, selects the fully general Def. 4
 	// metric: the neighboring region is the Euclidean ball of this
@@ -89,21 +103,19 @@ type Config struct {
 	// regions and work counters — the checkpoint hook long-running
 	// identifications persist through so a crash resumes from the last
 	// completed level. A non-nil error aborts the traversal and is
-	// returned with the partial Result. Setting OnLevel forces the
-	// sequential optimized path (the parallel fan-out has no level
-	// barrier to checkpoint at) and is rejected alongside
-	// OrderedDistance or EuclideanT, whose naïve traversal does not
-	// checkpoint. Never marshaled (func); resumable state lives in the
-	// snapshots it is handed.
+	// returned with the partial Result. It is called on the calling
+	// goroutine, in level order, whatever Workers is, and is rejected
+	// alongside OrderedDistance or EuclideanT, whose naïve traversal
+	// does not checkpoint. Never marshaled (func); resumable state
+	// lives in the snapshots it is handed.
 	OnLevel func(ctx context.Context, snap LevelSnapshot) error `json:"-"`
 	// Resume seeds the traversal with previously checkpointed levels:
 	// their regions and counters are folded into the Result and their
 	// masks are skipped, so an interrupted identification re-run with
 	// the same Config and data produces a Result identical to an
-	// uninterrupted run. Honored by both the sequential and parallel
-	// optimized traversals; snapshots for levels outside the Scope are
-	// ignored. Duplicate levels keep the last snapshot (recovery
-	// journals are last-wins).
+	// uninterrupted run, whatever Workers either run used. Snapshots
+	// for levels outside the Scope are ignored. Duplicate levels keep
+	// the last snapshot (recovery journals are last-wins).
 	Resume []LevelSnapshot `json:"-"`
 }
 
@@ -261,11 +273,11 @@ func NewHierarchy(d *dataset.Dataset) (*Hierarchy, error) {
 
 // Preload materializes every node's count table so subsequent Node
 // calls (including concurrent ones) only read. Each node's group-by is
-// independent, so the masks are fanned out across workers directly —
-// cheaper than merging one dense lattice table. workers <= 0 selects
-// GOMAXPROCS. A non-nil error means the preload did not complete (a
-// counting worker panicked); the hierarchy remains usable and missing
-// tables are computed lazily.
+// independent, so the masks are counted through the node pool
+// directly — cheaper than merging one dense lattice table. workers <= 0
+// selects GOMAXPROCS. A non-nil error means the preload did not
+// complete (a counting worker panicked); the hierarchy remains usable
+// and missing tables are computed lazily.
 func (h *Hierarchy) Preload(workers int) error {
 	return h.PreloadCtx(context.Background(), workers)
 }
@@ -279,63 +291,28 @@ func (h *Hierarchy) PreloadCtx(ctx context.Context, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	masks := h.Space.Masks()
+	all := h.Space.Masks()
 	ctx, psp := obs.StartSpan(ctx, "core.preload")
-	psp.SetInt("nodes", int64(len(masks)))
+	psp.SetInt("nodes", int64(len(all)))
 	psp.SetInt("workers", int64(workers))
 	defer psp.End()
+	masks := make([]uint32, 0, len(all))
+	for _, m := range all {
+		if h.tables[m] == nil {
+			masks = append(masks, m)
+		}
+	}
 	tables := make([]pattern.Table, len(masks))
-	errs := make([]error, len(masks))
-	sem := make(chan struct{}, workers)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-dispatch:
-	for i, m := range masks {
-		if h.tables[m] != nil {
-			tables[i] = h.tables[m]
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int, m uint32) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = &WorkerPanicError{Mask: m, Value: r, Stack: debug.Stack()}
-					cancel()
-				}
-			}()
-			if ctx.Err() != nil {
-				return
-			}
-			if faults.Active() {
-				if err := faults.FireCtx(ctx, faults.PreloadWorker, m); err != nil {
-					errs[i] = fmt.Errorf("core: preload node %#x: %w", m, err)
-					cancel()
-					return
-				}
-			}
-			tables[i] = h.Space.CountNode(h.Data, m)
-		}(i, m)
-	}
-	wg.Wait()
-	for i, m := range masks {
-		if tables[i] != nil {
-			h.tables[m] = tables[i]
+	err := runNodes(ctx, workers, faults.PreloadWorker, masks, nil, func(_ context.Context, i int) error {
+		tables[i] = h.Space.CountNode(h.Data, masks[i])
+		return nil
+	}, nil)
+	for i, t := range tables {
+		if t != nil {
+			h.tables[masks[i]] = t
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
+	return err
 }
 
 // Node returns the count table of the node identified by mask,

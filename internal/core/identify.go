@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -74,10 +72,11 @@ func (c *canceler) cancelled(ctx context.Context) bool {
 	return c.err != nil
 }
 
-// WorkerPanicError reports a panic recovered inside a parallel
-// identification worker: the offending hierarchy node, the panic value,
-// and the worker's stack. IdentifyOptimizedCtx returns it instead of
-// letting the panic take down the process.
+// WorkerPanicError reports a panic recovered inside a node pool worker
+// (an identification scan or a Preload count): the offending hierarchy
+// node, the panic value, and the worker's stack. IdentifyOptimizedCtx
+// and PreloadCtx return it instead of letting the panic take down the
+// process.
 type WorkerPanicError struct {
 	Mask  uint32 // deterministic-slot mask of the node being scanned
 	Value any    // recovered panic value
@@ -182,10 +181,10 @@ func IdentifyOptimized(d *dataset.Dataset, cfg Config) (*Result, error) {
 }
 
 // IdentifyOptimizedCtx is IdentifyOptimized under a context. The
-// traversal (sequential or parallel) checks ctx cooperatively; on
-// cancellation the partial Result identified so far is returned
-// alongside ctx.Err(). A panic inside a parallel worker is recovered
-// and surfaces as a *WorkerPanicError instead of crashing the process.
+// traversal checks ctx cooperatively; on cancellation the partial
+// Result identified so far is returned alongside ctx.Err(). A panic
+// inside a node scan is recovered and surfaces as a *WorkerPanicError
+// instead of crashing the process.
 func IdentifyOptimizedCtx(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, error) {
 	h, err := NewHierarchy(d)
 	if err != nil {
@@ -203,6 +202,14 @@ func (h *Hierarchy) IdentifyOptimized(cfg Config) (*Result, error) {
 // IdentifyOptimizedCtx is the context-aware method form; see
 // IdentifyOptimizedCtx (package form) for the cancellation and
 // panic-recovery contract.
+//
+// The traversal walks the lattice bottom-up through runNodes: inline
+// on the calling goroutine when cfg.Workers <= 1, otherwise (after
+// Preload) on a bounded pool with no barrier between levels, so the
+// leaf node keeps overlapping with the upper levels. Either way nodes
+// merge into the Result on the calling goroutine in traversal order,
+// and when a level's last node has merged its span closes, the
+// identify.level_ms histogram observes it and OnLevel checkpoints it.
 func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(h.Space); err != nil {
 		return nil, err
@@ -212,225 +219,239 @@ func (h *Hierarchy) IdentifyOptimizedCtx(ctx context.Context, cfg Config) (*Resu
 		// unit-distance setting; fall back to the naïve traversal.
 		return h.IdentifyNaiveCtx(ctx, cfg)
 	}
-	if cfg.Workers > 1 && cfg.OnLevel == nil {
-		// OnLevel forces the sequential path: checkpoints are cut at
-		// level barriers, which the parallel fan-out does not have.
-		return h.identifyOptimizedParallel(ctx, cfg)
-	}
 	ctx, sp := obs.StartSpan(ctx, "core.identify.optimized")
 	sp.SetStr("scope", cfg.Scope.String())
 	sp.SetInt("T", int64(cfg.T))
+	sp.SetInt("workers", int64(cfg.Workers))
 	res := &Result{Space: h.Space, Config: cfg}
 	defer finishIdentifySpan(sp, res)
 	defer recordIdentifyMetrics(ctx, res)
-	c := &canceler{}
-	levelHist := obs.MetricsFrom(ctx).Histogram("identify.level_ms", obs.DefaultDurationBucketsMS)
+
+	// Levels checkpointed by a previous attempt fold in from their
+	// snapshots and their masks are skipped; the rest are scanned.
 	resume := cfg.resumeByLevel()
-	applied := make(map[int]bool, len(resume))
-	var (
-		lvlSpan  *obs.Span
-		curLevel = -1
-		lvlStart time.Time
-		// Counter values at the current level's start, so the level's
-		// checkpoint carries deltas.
-		lvlRegs, lvlExp, lvlNbr, lvlPrn int
-	)
-	// endLevel closes the open level's span; when the level ran to
-	// completion it also cuts the checkpoint, whose error aborts the
-	// traversal.
-	endLevel := func(completed bool) error {
-		if curLevel < 0 {
-			return nil
-		}
-		lvlSpan.End()
-		levelHist.Observe(float64(time.Since(lvlStart).Microseconds()) / 1000)
-		lv := curLevel
-		curLevel = -1
-		if !completed || cfg.OnLevel == nil {
-			return nil
-		}
-		return cfg.OnLevel(ctx, LevelSnapshot{
-			Level:       lv,
-			Regions:     append([]Region(nil), res.Regions[lvlRegs:]...),
-			Explored:    res.Explored - lvlExp,
-			NeighborOps: res.NeighborOps - lvlNbr,
-			Pruned:      res.Pruned - lvlPrn,
-		})
-	}
-	for _, mask := range h.masksForScope(cfg.Scope) {
-		// The bottom-up traversal visits the lattice level by level;
-		// each level gets its own timing span so the trace shows where
-		// the walk spends its time (the leaf level dominates).
-		lv := levelOf(mask)
-		if snap, ok := resume[lv]; ok {
-			// Checkpointed by a previous attempt: fold the snapshot in
-			// once and skip the level's masks entirely.
-			if !applied[lv] {
-				if err := endLevel(true); err != nil {
-					h.sortRegions(res.Regions)
-					return res, err
-				}
-				res.Regions = append(res.Regions, snap.Regions...)
-				res.Explored += snap.Explored
-				res.NeighborOps += snap.NeighborOps
-				res.Pruned += snap.Pruned
-				applied[lv] = true
-			}
+	var masks []uint32
+	for _, m := range h.masksForScope(cfg.Scope) {
+		snap, ok := resume[levelOf(m)]
+		if !ok {
+			masks = append(masks, m)
 			continue
 		}
-		if lv != curLevel {
-			if err := endLevel(true); err != nil {
-				h.sortRegions(res.Regions)
-				return res, err
-			}
-			//lint:allow obspair lvlSpan is ended by the endLevel closure on every path, but the closure is always invoked in if-init position (`if err := endLevel(...)`) which the source-order scan cannot credit as an End
-			_, lvlSpan = obs.StartSpan(ctx, "core.identify.level")
-			lvlSpan.SetInt("level", int64(lv))
-			curLevel = lv
-			lvlRegs, lvlExp, lvlNbr, lvlPrn = len(res.Regions), res.Explored, res.NeighborOps, res.Pruned
-			//lint:allow determinism level timing feeds the trace histogram only; pipeline output is unaffected
-			lvlStart = time.Now()
-		}
-		h.scanNodeOptimized(ctx, mask, cfg, res, c)
-		if c.err != nil {
-			break
+		res.merge(&Result{Regions: snap.Regions, Explored: snap.Explored, NeighborOps: snap.NeighborOps, Pruned: snap.Pruned})
+		// Emptied, the entry still skips the level's remaining masks.
+		resume[levelOf(m)] = LevelSnapshot{}
+	}
+	if cfg.Workers > 1 && len(masks) > 0 {
+		// The pool's scans share the node tables, so they must all exist
+		// (and only be read) before the first scan starts.
+		if err := h.PreloadCtx(ctx, cfg.Workers); err != nil {
+			h.sortRegions(res.Regions)
+			return res, err
 		}
 	}
-	if err := endLevel(c.err == nil); err != nil {
-		h.sortRegions(res.Regions)
-		return res, err
+
+	// A level opens when its first node is dispatched and closes when
+	// its last node merges; in the pool several levels can be open at
+	// once.
+	type level struct {
+		ctx   context.Context //lint:allow ctxfirst derived from the traversal's context for one level's nodes and dropped when the level closes, before the call returns
+		span  *obs.Span
+		start time.Time
+	}
+	levels := make([]*level, h.Space.Dim()+1)
+	levelHist := obs.MetricsFrom(ctx).Histogram("identify.level_ms", obs.DefaultDurationBucketsMS)
+	closeLevel := func(lv int) {
+		l := levels[lv]
+		l.span.End()
+		levelHist.Observe(float64(time.Since(l.start).Microseconds()) / 1000)
+		levels[lv] = nil
+	}
+	// Nodes merge in traversal order, so when a level closes, everything
+	// res gained since the previous one closed is that level's
+	// checkpoint. base holds res as of that close (only its lengths and
+	// counters are read).
+	base := *res
+	// Pool goroutines scan into private shards; inline scans write
+	// straight into res, which is where their merge would put them.
+	shards := make([]*Result, len(masks))
+
+	start := func(ctx context.Context, i int) context.Context {
+		lv := levelOf(masks[i])
+		if levels[lv] == nil {
+			lctx, lsp := obs.StartSpan(ctx, "core.identify.level")
+			lsp.SetInt("level", int64(lv))
+			//lint:allow determinism level timing feeds the trace histogram only; pipeline output is unaffected
+			levels[lv] = &level{ctx: lctx, span: lsp, start: time.Now()}
+		}
+		return levels[lv].ctx
+	}
+	scan := func(ctx context.Context, i int) error {
+		// Each node gets its own span under its level, so the trace
+		// shows the fan-out and any straggler nodes. The deferred End
+		// runs during panic unwinding, so crashed shards stay visible.
+		ctx, ssp := obs.StartSpan(ctx, "core.identify.shard")
+		ssp.SetInt("node", int64(masks[i]))
+		defer ssp.End()
+		shard := res
+		if cfg.Workers > 1 {
+			shard = &Result{}
+			shards[i] = shard
+		}
+		found := len(shard.Regions)
+		c := &canceler{}
+		h.scanNodeOptimized(ctx, masks[i], cfg, shard, c)
+		ssp.SetInt("regions", int64(len(shard.Regions)-found))
+		return c.err
+	}
+	mergeNode := func(i int) error {
+		if shards[i] != nil {
+			res.merge(shards[i])
+			shards[i] = nil
+		}
+		lv := levelOf(masks[i])
+		if i+1 < len(masks) && levelOf(masks[i+1]) == lv {
+			return nil
+		}
+		closeLevel(lv)
+		snap := LevelSnapshot{
+			Level:       lv,
+			Regions:     res.Regions[len(base.Regions):],
+			Explored:    res.Explored - base.Explored,
+			NeighborOps: res.NeighborOps - base.NeighborOps,
+			Pruned:      res.Pruned - base.Pruned,
+		}
+		base = *res
+		if cfg.OnLevel == nil {
+			return nil
+		}
+		snap.Regions = append([]Region(nil), snap.Regions...)
+		return cfg.OnLevel(ctx, snap)
+	}
+	err := runNodes(ctx, cfg.Workers, faults.IdentifyWorker, masks, start, scan, mergeNode)
+	// After a failure, nodes scanned (wholly or in part) but never
+	// merged still count toward the partial Result, and the open levels
+	// close without a checkpoint.
+	for _, shard := range shards {
+		if shard != nil {
+			res.merge(shard)
+		}
+	}
+	for lv, l := range levels {
+		if l != nil {
+			closeLevel(lv)
+		}
 	}
 	if lg := obs.LoggerFrom(ctx); lg.On(obs.LevelDebug) {
 		lg.Scope("core").Debug("identify done",
 			"explored", res.Explored, "pruned", res.Pruned, "regions", len(res.Regions))
 	}
 	h.sortRegions(res.Regions)
-	return res, c.err
+	return res, err
 }
 
-// identifyOptimizedParallel preloads every node table with per-node
-// counting passes fanned out across workers and scans the nodes
-// concurrently. After Preload the
-// tables are read-only, so the per-node scans share them without
-// synchronization; each goroutine accumulates into a private Result and
-// the shards merge deterministically.
+// merge folds o's regions and work counters into res.
+func (res *Result) merge(o *Result) {
+	res.Regions = append(res.Regions, o.Regions...)
+	res.Explored += o.Explored
+	res.NeighborOps += o.NeighborOps
+	res.Pruned += o.Pruned
+}
+
+// runNodes is the node pool every multi-node pass over the hierarchy
+// runs through (Preload's counting and the optimized traversal's
+// scans); it is the only place in the package that starts goroutines.
+// It calls work(ctx, i) for each masks[i] in index order: inline on the
+// calling goroutine when workers <= 1, otherwise on at most workers
+// goroutines at a time. Before each node's work it fires the fault
+// point (argument: the mask), and it recovers a panic in the work into
+// a *WorkerPanicError carrying the mask.
 //
-// Failure handling: a panic inside a worker is recovered into a
-// *WorkerPanicError carrying the node mask, and the first failure —
-// panic, injected fault, or cancellation of ctx — cancels the remaining
-// shards. All workers are joined before returning, so no goroutines
-// outlive the call; completed shards still merge into the returned
-// (partial) Result.
-func (h *Hierarchy) identifyOptimizedParallel(ctx context.Context, cfg Config) (*Result, error) {
+// start, when set, runs on the calling goroutine just before node i is
+// dispatched and returns the context the node runs under. done, when
+// set, runs on the calling goroutine for every node whose work returned
+// nil, strictly in index order, so callers merge per-node results
+// without locks and deterministically.
+//
+// The first failure — a panic, a fault, a work or done error — cancels
+// the nodes still running, stops dispatch and is returned; a cancelled
+// ctx stops dispatch and its error is returned. Every goroutine is
+// joined before runNodes returns.
+func runNodes(ctx context.Context, workers int, point faults.Point, masks []uint32,
+	start func(ctx context.Context, i int) context.Context,
+	work func(ctx context.Context, i int) error,
+	done func(i int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ctx, sp := obs.StartSpan(ctx, "core.identify.parallel")
-	sp.SetStr("scope", cfg.Scope.String())
-	sp.SetInt("workers", int64(cfg.Workers))
-	if err := h.PreloadCtx(ctx, cfg.Workers); err != nil {
-		sp.End()
-		return &Result{Space: h.Space, Config: cfg}, err
+	if start == nil {
+		start = func(ctx context.Context, _ int) context.Context { return ctx }
 	}
-	masks := h.masksForScope(cfg.Scope)
-	// Resumed levels are folded in from their snapshots at the merge and
-	// their masks dropped from the fan-out.
-	resume := cfg.resumeByLevel()
-	if resume != nil {
-		kept := make([]uint32, 0, len(masks))
-		for _, m := range masks {
-			if _, ok := resume[levelOf(m)]; !ok {
-				kept = append(kept, m)
+	if done == nil {
+		done = func(int) error { return nil }
+	}
+	run := func(ctx context.Context, i int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &WorkerPanicError{Mask: masks[i], Value: r, Stack: debug.Stack()}
+			}
+		}()
+		if faults.Active() {
+			if err := faults.FireCtx(ctx, point, masks[i]); err != nil {
+				return fmt.Errorf("%s on node %#x: %w", point, masks[i], err)
 			}
 		}
-		masks = kept
+		return work(ctx, i)
 	}
-	shards := make([]*Result, len(masks))
-	errs := make([]error, len(masks))
-	sem := make(chan struct{}, cfg.Workers)
-	var wg sync.WaitGroup
-dispatch:
-	for i, mask := range masks {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int, mask uint32) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = &WorkerPanicError{Mask: mask, Value: r, Stack: debug.Stack()}
-					cancel() // first failure stops the remaining shards
-				}
-			}()
-			if ctx.Err() != nil {
-				return
-			}
-			// Each worker shard gets its own span under the parallel
-			// parent, so the trace shows the fan-out and any straggler
-			// nodes. The deferred End runs during panic unwinding, ahead
-			// of the recover above, so crashed shards stay visible.
-			wctx, ssp := obs.StartSpan(ctx, "core.identify.shard")
-			ssp.SetInt("node", int64(mask))
-			defer ssp.End()
-			if faults.Active() {
-				if err := faults.FireCtx(wctx, faults.IdentifyWorker, mask); err != nil {
-					errs[i] = fmt.Errorf("core: identify node %#x: %w", mask, err)
-					cancel()
-					return
-				}
-			}
-			shard := &Result{Space: h.Space, Config: cfg}
-			h.scanNodeOptimized(wctx, mask, cfg, shard, &canceler{})
-			ssp.SetInt("regions", int64(len(shard.Regions)))
-			shards[i] = shard
-		}(i, mask)
+	workers = max(workers, 1)
+	type outcome struct {
+		i   int
+		err error
 	}
-	wg.Wait()
-	res := &Result{Space: h.Space, Config: cfg}
-	for _, shard := range shards {
-		if shard == nil {
+	// Buffered for every running node, so no report ever blocks.
+	finished := make(chan outcome, workers)
+	ok := make([]bool, len(masks))
+	var first error
+	next, merged, running := 0, 0, 0
+	for {
+		if first == nil && next < len(masks) && running < workers && ctx.Err() == nil {
+			i, nctx := next, start(ctx, next)
+			next++
+			running++
+			if workers == 1 {
+				finished <- outcome{i, run(nctx, i)}
+				continue
+			}
+			//lint:allow goroleak runs one node's work, which polls ctx; the buffered send never blocks and the loop receives every report before returning
+			go func() { finished <- outcome{i, run(nctx, i)} }()
 			continue
 		}
-		res.Regions = append(res.Regions, shard.Regions...)
-		res.Explored += shard.Explored
-		res.NeighborOps += shard.NeighborOps
-		res.Pruned += shard.Pruned
-	}
-	if resume != nil {
-		inScope := make(map[int]bool)
-		for _, m := range h.masksForScope(cfg.Scope) {
-			inScope[levelOf(m)] = true
+		if running == 0 {
+			break
 		}
-		lvls := make([]int, 0, len(resume))
-		for lv := range resume {
-			if inScope[lv] {
-				lvls = append(lvls, lv)
+		o := <-finished
+		running--
+		if o.err != nil {
+			if first == nil {
+				first = o.err
+				cancel()
 			}
+			continue
 		}
-		sort.Ints(lvls)
-		for _, lv := range lvls {
-			snap := resume[lv]
-			res.Regions = append(res.Regions, snap.Regions...)
-			res.Explored += snap.Explored
-			res.NeighborOps += snap.NeighborOps
-			res.Pruned += snap.Pruned
-		}
-	}
-	finishIdentifySpan(sp, res)
-	recordIdentifyMetrics(ctx, res)
-	h.sortRegions(res.Regions)
-	// Worker failures outrank plain cancellation: a panic or injected
-	// fault also cancels ctx, and reporting the cause beats reporting
-	// the symptom.
-	for _, err := range errs {
-		if err != nil {
-			return res, err
+		ok[o.i] = true
+		for first == nil && merged < next && ok[merged] {
+			if err := done(merged); err != nil {
+				first = err
+				cancel()
+			}
+			merged++
 		}
 	}
-	return res, ctx.Err()
+	if first != nil {
+		return first
+	}
+	if merged < len(masks) {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // scanNodeOptimized runs the optimized per-node identification (lines

@@ -25,10 +25,11 @@ import (
 type Point string
 
 const (
-	// IdentifyWorker fires at the start of every parallel identify
-	// worker's node scan. The argument is the node's uint32 mask. A
-	// panicking hook simulates a worker crash; the identify layer must
-	// convert it into an error.
+	// IdentifyWorker fires at the start of every optimized identify
+	// node scan in core's node pool, inline or on a pool goroutine.
+	// The argument is the node's uint32 mask. A panicking hook
+	// simulates a worker crash; the identify layer must convert it
+	// into an error.
 	IdentifyWorker Point = "core.identify.worker"
 	// PreloadWorker fires at the start of every hierarchy preload
 	// counting shard. The argument is the node's uint32 mask.

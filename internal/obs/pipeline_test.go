@@ -66,32 +66,37 @@ func TestIdentifyInstrumented(t *testing.T) {
 	}
 }
 
-// TestParallelIdentifyShardSpans: the parallel traversal emits one
-// shard span per hierarchy node, all parented under the parallel root,
-// and matches the sequential counters.
+// TestParallelIdentifyShardSpans: the pooled traversal emits one shard
+// span per hierarchy node, each parented under its level's span, and
+// counts its work like the inline one.
 func TestParallelIdentifyShardSpans(t *testing.T) {
 	ctx, tr, m := obsContext(t)
 	d := synth.CompasN(2000, 1)
 	if _, err := core.IdentifyOptimizedCtx(ctx, d, core.Config{TauC: 0.1, T: 1, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	var parallelID uint64
-	shards := 0
-	for _, s := range tr.Snapshot() {
-		if s.Name == "core.identify.parallel" {
-			parallelID = s.ID
+	spans := tr.Snapshot()
+	levels := map[uint64]bool{}
+	for _, s := range spans {
+		switch s.Name {
+		case "core.identify.level":
+			levels[s.ID] = true
+		case "core.identify.parallel":
+			t.Fatalf("unexpected separate parallel root span: %+v", s)
 		}
 	}
-	for _, s := range tr.Snapshot() {
+	shards := 0
+	for _, s := range spans {
 		if s.Name == "core.identify.shard" {
 			shards++
-			if s.Parent != parallelID {
-				t.Fatalf("shard span not under parallel root: %+v", s)
+			if !levels[s.Parent] {
+				t.Fatalf("shard span not under a level span: %+v", s)
 			}
 		}
 	}
-	if shards == 0 {
-		t.Fatal("no shard spans recorded")
+	// Three protected attributes: 7 lattice nodes over 3 levels.
+	if len(levels) != 3 || shards != 7 {
+		t.Fatalf("got %d level and %d shard spans, want 3 and 7", len(levels), shards)
 	}
 	if m.Counter("identify.nodes_visited").Value() == 0 {
 		t.Fatal("parallel run must count nodes_visited")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -166,10 +167,19 @@ func freezeJournalAfter(t *testing.T, trip func(durable.Record) bool) {
 // been checkpointed; a new generation on the same data dir must
 // re-queue the orphaned job, resume it from the checkpoints, and
 // produce a byte-identical IBS to an uninterrupted run — with the job
-// neither lost nor duplicated.
+// neither lost nor duplicated. A parallel identify (workers > 1)
+// checkpoints and resumes exactly like a sequential one.
 func TestCrashMidIdentifyResumesFromCheckpoint(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			crashMidIdentify(t, workers)
+		})
+	}
+}
+
+func crashMidIdentify(t *testing.T, workers int) {
 	ctx := context.Background()
-	req := JobRequest{Kind: "identify", DatasetID: "", TauC: 0.1, MinSize: 20}
+	req := JobRequest{Kind: "identify", DatasetID: "", TauC: 0.1, MinSize: 20, Workers: workers}
 
 	// Baseline: the same job on an in-memory server, never interrupted.
 	_, base := newTestServer(t, Config{Workers: 1, QueueDepth: 8})

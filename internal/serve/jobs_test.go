@@ -195,8 +195,8 @@ func TestFaultInjectedFailure(t *testing.T) {
 		t.Fatalf("panic-hook job = %s (%q)", st.State, st.Error)
 	}
 
-	// A worker crash deep in the parallel identify fan-out (workers>1
-	// routes through the pool that fires faults.IdentifyWorker).
+	// A worker crash deep in an identify node scan (faults.IdentifyWorker
+	// fires per node scan in core's node pool, here on 4 goroutines).
 	faults.Clear(faults.ServeJob)
 	faults.Set(faults.IdentifyWorker, func(any) error { panic("identify worker down") })
 	t.Cleanup(func() { faults.Clear(faults.IdentifyWorker) })

@@ -71,7 +71,7 @@ func validateRequest(req JobRequest) (jobParams, error) {
 		return p, fmt.Errorf("min_size must be >= 1, got %d", req.MinSize)
 	}
 	if req.Scope != "" {
-		scope, err := ParseScope(req.Scope)
+		scope, err := core.ParseScope(req.Scope)
 		if err != nil {
 			return p, err
 		}
@@ -145,20 +145,6 @@ func validateTenant(name string) error {
 	return nil
 }
 
-// ParseScope resolves an identification scope name
-// (case-insensitive).
-func ParseScope(s string) (core.Scope, error) {
-	switch strings.ToLower(s) {
-	case "lattice":
-		return core.Lattice, nil
-	case "leaf":
-		return core.Leaf, nil
-	case "top":
-		return core.Top, nil
-	}
-	return 0, fmt.Errorf("unknown scope %q (lattice, leaf, top)", s)
-}
-
 // runJob executes one job's pipeline stage. It runs on an engine
 // worker under the job's context, span tree, and private metrics
 // registry; the dataset reference was acquired at submission.
@@ -177,15 +163,11 @@ func (s *Server) runJob(ctx context.Context, j *job) (any, error) {
 
 	if s.store != nil && (j.req.Kind == "identify" || j.req.Kind == "remedy") {
 		// Resume from the checkpoints a crashed attempt journaled (empty
-		// on a first life). New checkpoints are cut per completed lattice
-		// level — but only for sequential traversals: OnLevel forces the
-		// sequential path, and a request that asked for Workers > 1 keeps
-		// its parallelism instead of checkpointing.
+		// on a first life); new checkpoints are cut per completed lattice
+		// level, whatever the request's Workers.
 		p.identify.Resume = j.resume
-		if p.identify.Workers <= 1 {
-			p.identify.OnLevel = func(ctx context.Context, snap core.LevelSnapshot) error {
-				return s.engine.journalCheckpoint(ctx, j.id, snap)
-			}
+		p.identify.OnLevel = func(ctx context.Context, snap core.LevelSnapshot) error {
+			return s.engine.journalCheckpoint(ctx, j.id, snap)
 		}
 	}
 

@@ -100,8 +100,8 @@ type JobRequest struct {
 	T       int     `json:"t,omitempty"`
 	MinSize int     `json:"min_size,omitempty"`
 	Scope   string  `json:"scope,omitempty"`
-	// Workers > 1 runs the identification's parallel fan-out with that
-	// many goroutines (identical results, more CPU).
+	// Workers > 1 scans the identification's lattice nodes on that many
+	// goroutines (identical results and checkpoints, more CPU).
 	Workers int `json:"workers,omitempty"`
 
 	// Technique is the remedy sampler: PS | US | DP | MS (default PS).
