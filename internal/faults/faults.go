@@ -46,6 +46,11 @@ const (
 	// TrainEpoch fires once per training epoch/tree of the context-aware
 	// learners. The argument is the epoch or tree index (int).
 	TrainEpoch Point = "ml.train.epoch"
+	// ForestTree fires on a random forest's tree goroutine before the
+	// tree is fitted. The argument is the tree index (int). A panicking
+	// hook simulates a crash inside one tree; the forest must return it
+	// as an error naming the tree and discard the whole ensemble.
+	ForestTree Point = "ml.forest.tree"
 	// ServeJob fires when a remedyd worker picks a job up, before any
 	// pipeline work. The argument is the job ID (string). Hooks block
 	// here to hold worker slots (queue-backpressure tests), return an

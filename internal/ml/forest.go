@@ -2,8 +2,12 @@ package ml
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
+	"repro/internal/faults"
 	"repro/internal/stats"
 )
 
@@ -50,12 +54,28 @@ func (f *RandomForest) Fit(x [][]float64, y []float64, w []float64) error {
 	return f.FitCtx(context.Background(), x, y, w)
 }
 
-// FitCtx is Fit with a per-tree cancellation check; on cancellation the
-// trees grown so far are discarded and ctx.Err() is returned.
+// FitCtx is Fit with a per-tree cancellation check; on cancellation,
+// an error or a panic in any tree, the whole ensemble is discarded and
+// the error is returned (ctx.Err() on cancellation; a panic becomes an
+// error naming the tree).
+//
+// x is binned once and every tree reads the shared bins through its
+// bootstrap row list. Trees are fitted concurrently, on at most
+// runtime.GOMAXPROCS(0) goroutines, yet the model does not depend on
+// scheduling: every draw from the forest's RNG happens on the calling
+// goroutine in tree order (tree t's n bootstrap draws, then its seed),
+// as does the per-tree ml.train.epoch checkpoint, and tree t is stored
+// at index t. All tree goroutines have exited when FitCtx returns.
 func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w []float64) error {
 	if err := checkTrainingInput(x, y, w); err != nil {
 		return err
 	}
+	trees, err := f.growTrees(ctx, x, y, w)
+	f.trees = trees // nil on error: half an ensemble is a silently different model
+	return err
+}
+
+func (f *RandomForest) growTrees(ctx context.Context, x [][]float64, y, w []float64) ([]*DecisionTree, error) {
 	rng := stats.NewRNG(f.Params.Seed)
 	n := len(x)
 	maxFeat := f.Params.MaxFeatures
@@ -66,24 +86,47 @@ func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 	if w != nil {
 		sampler = stats.NewWeightedSampler(w)
 	}
-	f.trees = make([]*DecisionTree, f.Params.Trees)
-	for t := range f.trees {
+	// Sample weights act through the bootstrap, so every tree fits with
+	// unit weights.
+	b, unit := binColumns(x), ones(n)
+	trees := make([]*DecisionTree, f.Params.Trees)
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if first == nil {
+			first = err
+		}
+		mu.Unlock()
+		cancel()
+	}
+	// A tree goroutine holds one scratch from the pool while it runs, so
+	// the pool's size bounds the goroutines.
+	pool := make(chan *treeScratch, min(runtime.GOMAXPROCS(0), len(trees)))
+	for i := 0; i < cap(pool); i++ {
+		pool <- newTreeScratch(b, n)
+	}
+	for t := range trees {
+		// Every running tree polls ctx and hands its scratch back, so
+		// this receive returns even after a failure or cancellation.
+		s := <-pool
 		if err := epochTick(ctx, t); err != nil {
-			f.trees = nil // half an ensemble is a silently different model
-			return err
+			fail(err)
+			break
 		}
 		// Weighted bootstrap.
-		bx := make([][]float64, n)
-		by := make([]float64, n)
-		for i := 0; i < n; i++ {
-			var j int
+		for i := range s.rows {
 			if sampler == nil {
-				j = rng.Intn(n)
+				s.rows[i] = int32(rng.Intn(n))
 			} else {
-				j = sampler.Draw(rng)
+				s.rows[i] = int32(sampler.Draw(rng))
 			}
-			bx[i] = x[j]
-			by[i] = y[j]
 		}
 		tree := NewDecisionTree(TreeParams{
 			MaxDepth:      f.Params.MaxDepth,
@@ -91,13 +134,38 @@ func (f *RandomForest) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 			MinLeafWeight: f.Params.MinLeafWeight,
 			Seed:          rng.Int63(),
 		})
-		if err := tree.FitCtx(ctx, bx, by, nil); err != nil {
-			f.trees = nil
-			return err
-		}
-		f.trees[t] = tree
+		trees[t] = tree
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { pool <- s }()
+			if err := growTree(ctx, t, tree, b, y, unit, s); err != nil {
+				fail(err)
+			}
+		}()
 	}
-	return nil
+	wg.Wait()
+	if first != nil {
+		return nil, first
+	}
+	return trees, nil
+}
+
+// growTree fits forest member t on its bootstrap rows. It runs on its
+// own goroutine, where no caller's recover reaches, so it turns a panic
+// into an error naming the tree.
+func growTree(ctx context.Context, t int, tree *DecisionTree, b *binnedX, y, unit []float64, s *treeScratch) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("ml: forest tree %d panicked: %v", t, r)
+		}
+	}()
+	if faults.Active() {
+		if err := faults.FireCtx(ctx, faults.ForestTree, t); err != nil {
+			return fmt.Errorf("%s on tree %d: %w", faults.ForestTree, t, err)
+		}
+	}
+	return tree.fitRows(ctx, b, y, unit, s)
 }
 
 // PredictProba averages the member trees' leaf probabilities.

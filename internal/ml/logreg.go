@@ -68,6 +68,7 @@ func (l *LogisticRegression) FitCtx(ctx context.Context, x [][]float64, y []floa
 		totalW = 1
 	}
 	grad := make([]float64, nf)
+	nz := nonzeroColumns(x)
 	lr := l.Params.LearningRate
 	for epoch := 0; epoch < l.Params.Epochs; epoch++ {
 		if err := epochTick(ctx, epoch); err != nil {
@@ -76,14 +77,26 @@ func (l *LogisticRegression) FitCtx(ctx context.Context, x [][]float64, y []floa
 		for i := range grad {
 			grad[i] = 0
 		}
+		// A zero feature adds wj*0 to the score, which is ±0 and leaves
+		// the probability unchanged unless wj is infinite or NaN (a
+		// diverging descent); only then does the score need every column.
+		dense := !allFinite(l.Weights)
 		var gradB float64
-		for i := range x {
-			p := l.PredictProba(x[i])
-			e := w[i] * (p - y[i])
-			for j, xv := range x[i] {
-				if xv != 0 {
-					grad[j] += e * xv
+		for i, xi := range x {
+			cols := nz.row(i)
+			var p float64
+			if dense {
+				p = l.PredictProba(xi)
+			} else {
+				z := l.Bias
+				for _, j := range cols {
+					z += l.Weights[j] * xi[j]
 				}
+				p = 1 / (1 + math.Exp(-z))
+			}
+			e := w[i] * (p - y[i])
+			for _, j := range cols {
+				grad[j] += e * xi[j]
 			}
 			gradB += e
 		}
@@ -94,6 +107,15 @@ func (l *LogisticRegression) FitCtx(ctx context.Context, x [][]float64, y []floa
 		l.Bias -= lr * gradB / totalW
 	}
 	return nil
+}
+
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // PredictProba applies the logistic link to the linear score.

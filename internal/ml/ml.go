@@ -5,11 +5,20 @@
 // confusion-matrix metrics, and k-fold grid search. Everything is built
 // from scratch on the standard library and supports per-instance sample
 // weights, which the reweighting baselines require.
+//
+// Training is the pipeline's hot path, so the learners avoid per-value
+// work without changing a single floating-point operation: a tree bins
+// its matrix once per fit and splits with dense per-node histograms over
+// bin ids, a forest shares one binning across trees fitted concurrently,
+// and logistic regression and the network loop over each row's nonzero
+// columns only. Given the same inputs and seed, every learner produces
+// the same bits at any GOMAXPROCS.
 package ml
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
@@ -43,7 +52,10 @@ func threshold(p float64) int {
 }
 
 // checkTrainingInput validates the (x, y, w) triple shared by all
-// learners.
+// learners. Features must be finite: a NaN equals no other value and
+// fails every threshold test, and an infinite value makes a NaN or
+// infinite split threshold, so either yields splits no prediction can
+// use. The row and column counts must fit the learners' int32 indexes.
 func checkTrainingInput(x [][]float64, y []float64, w []float64) error {
 	if len(x) == 0 {
 		return fmt.Errorf("ml: empty training set")
@@ -55,9 +67,17 @@ func checkTrainingInput(x [][]float64, y []float64, w []float64) error {
 		return fmt.Errorf("ml: %d rows but %d weights", len(x), len(w))
 	}
 	width := len(x[0])
+	if len(x) > math.MaxInt32 || width > math.MaxInt32 {
+		return fmt.Errorf("ml: %d×%d feature matrix exceeds int32 row and column indexing", len(x), width)
+	}
 	for i := range x {
 		if len(x[i]) != width {
 			return fmt.Errorf("ml: ragged feature matrix at row %d", i)
+		}
+		for j, v := range x[i] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("ml: non-finite feature %v at row %d, column %d", v, i, j)
+			}
 		}
 	}
 	for i := range y {
@@ -94,6 +114,38 @@ func ones(n int) []float64 {
 	}
 	return w
 }
+
+// nonzeros lists the nonzero columns of every row of a feature matrix
+// in ascending order, CSR style: row i's columns are
+// cols[start[i]:start[i+1]], and their values are read back from the
+// matrix. The linear learners iterate only these.
+type nonzeros struct {
+	start []int
+	cols  []int32
+}
+
+func nonzeroColumns(x [][]float64) nonzeros {
+	count := 0
+	for _, row := range x {
+		for _, v := range row {
+			if v != 0 {
+				count++
+			}
+		}
+	}
+	nz := nonzeros{start: make([]int, len(x)+1), cols: make([]int32, 0, count)}
+	for i, row := range x {
+		for j, v := range row {
+			if v != 0 {
+				nz.cols = append(nz.cols, int32(j))
+			}
+		}
+		nz.start[i+1] = len(nz.cols)
+	}
+	return nz
+}
+
+func (nz nonzeros) row(i int) []int32 { return nz.cols[nz.start[i]:nz.start[i+1]] }
 
 // Model binds a trained classifier to the feature encoding of a schema,
 // so callers can predict directly on datasets.

@@ -70,6 +70,11 @@ func TestCheckTrainingInput(t *testing.T) {
 	if err := checkTrainingInput(x, []float64{1, 0}, []float64{1, -2}); err == nil {
 		t.Fatal("negative weight must error")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := checkTrainingInput([][]float64{{1, 0}, {2, v}}, []float64{1, 0}, nil); err == nil {
+			t.Fatalf("feature %v must error", v)
+		}
+	}
 	if err := checkTrainingInput(x, []float64{1, 0}, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}

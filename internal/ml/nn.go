@@ -92,6 +92,7 @@ func (n *NeuralNetwork) FitCtx(ctx context.Context, x [][]float64, y []float64, 
 	for i := range idx {
 		idx[i] = i
 	}
+	nz := nonzeroColumns(x)
 	hidden := make([]float64, h)
 	lr := n.Params.LearningRate
 	for epoch := 0; epoch < n.Params.Epochs; epoch++ {
@@ -114,14 +115,13 @@ func (n *NeuralNetwork) FitCtx(ctx context.Context, x [][]float64, y []float64, 
 			}
 			step := lr / batchW
 			for _, i := range idx[start:end] {
-				xi := x[i]
+				xi, cols := x[i], nz.row(i)
 				// Forward.
 				for hh := 0; hh < h; hh++ {
 					z := n.b1[hh]
-					for j, v := range xi {
-						if v != 0 {
-							z += n.w1[hh][j] * v
-						}
+					w1 := n.w1[hh]
+					for _, j := range cols {
+						z += w1[j] * xi[j]
 					}
 					if z < 0 {
 						z = 0
@@ -140,10 +140,9 @@ func (n *NeuralNetwork) FitCtx(ctx context.Context, x [][]float64, y []float64, 
 					d1 := d2 * n.w2[hh]
 					n.w2[hh] -= step * (gw2 + n.Params.L2*n.w2[hh])
 					if hidden[hh] > 0 { // ReLU gate
-						for j, v := range xi {
-							if v != 0 {
-								n.w1[hh][j] -= step * (d1*v + n.Params.L2*n.w1[hh][j])
-							}
+						w1 := n.w1[hh]
+						for _, j := range cols {
+							w1[j] -= step * (d1*xi[j] + n.Params.L2*w1[j])
 						}
 						n.b1[hh] -= step * d1
 					}

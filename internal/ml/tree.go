@@ -3,6 +3,7 @@ package ml
 import (
 	"context"
 	"math/rand" //lint:allow determinism consumes injected *rand.Rand; construction only via stats.NewRNG
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -79,13 +80,21 @@ func (t *DecisionTree) FitCtx(ctx context.Context, x [][]float64, y []float64, w
 	if w == nil {
 		w = ones(len(x))
 	}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
+	b := binColumns(x)
+	s := newTreeScratch(b, len(x))
+	for i := range s.rows {
+		s.rows[i] = int32(i)
 	}
-	t.importance = make([]float64, len(x[0]))
-	rng := stats.NewRNG(t.Params.Seed)
-	t.root = t.build(ctx, x, y, w, idx, 0, rng)
+	return t.fitRows(ctx, b, y, w, s)
+}
+
+// fitRows grows the tree on the rows of b listed in s.rows, which may
+// repeat a row (a bootstrap sample) and which fitRows reorders in
+// place. y and w are indexed by row of b.
+func (t *DecisionTree) fitRows(ctx context.Context, b *binnedX, y, w []float64, s *treeScratch) error {
+	g := &grower{t: t, b: b, y: y, w: w, rng: stats.NewRNG(t.Params.Seed), treeScratch: s}
+	t.importance = make([]float64, len(b.bins))
+	t.root = g.build(ctx, s.rows, 0)
 	if err := ctx.Err(); err != nil {
 		t.root = nil // a truncated tree is a silently different model
 		return err
@@ -114,14 +123,6 @@ func (t *DecisionTree) FeatureImportance() []float64 {
 	return out
 }
 
-func nodeStats(y, w []float64, idx []int) (wt, wp float64) {
-	for _, i := range idx {
-		wt += w[i]
-		wp += w[i] * y[i]
-	}
-	return wt, wp
-}
-
 func gini(wt, wp float64) float64 {
 	if wt <= 0 {
 		return 0
@@ -130,89 +131,198 @@ func gini(wt, wp float64) float64 {
 	return 2 * p * (1 - p)
 }
 
-func (t *DecisionTree) build(ctx context.Context, x [][]float64, y, w []float64, idx []int, depth int, rng *rand.Rand) *treeNode {
-	wt, wp := nodeStats(y, w, idx)
+// binnedX is a feature matrix binned column by column, once per fit:
+// vals[f] holds the distinct values of column f in ascending order and
+// bins[f][i] the position in vals[f] of row i's value. Split search
+// reads bin ids only and takes thresholds from vals, so it sees exactly
+// the values of the matrix it was built from. Bin ids are int32, wide
+// enough for any column because checkTrainingInput caps the row count.
+type binnedX struct {
+	vals [][]float64
+	bins [][]int32
+}
+
+func binColumns(x [][]float64) *binnedX {
+	nf := len(x[0])
+	b := &binnedX{vals: make([][]float64, nf), bins: make([][]int32, nf)}
+	col := make([]float64, len(x))
+	for f := range b.vals {
+		for i, row := range x {
+			col[i] = row[f]
+		}
+		slices.Sort(col)
+		vals := slices.Clone(slices.Compact(col))
+		ids := make([]int32, len(x))
+		for i, row := range x {
+			k, _ := slices.BinarySearch(vals, row[f])
+			ids[i] = int32(k)
+		}
+		b.vals[f], b.bins[f] = vals, ids
+	}
+	return b
+}
+
+// treeScratch is the working memory of a tree fit over a binned matrix
+// and n rows. A forest reuses one per tree goroutine.
+type treeScratch struct {
+	// rows lists the rows to fit; the partitions reorder it in place.
+	rows []int32
+	// all lists every feature, the candidates when not subsampling.
+	all []int
+	// hist accumulates the node's rows per bin of one feature; present
+	// lists the bins that hold at least one row. Both are cleared after
+	// each feature.
+	hist    []binAcc
+	present []int32
+	// nw and nwy hold w[r] and w[r]*y[r] for the node's rows, in row
+	// order, so the per-feature scans read them sequentially. y is 0 or
+	// 1, so w[r]*y[r] is exact and adding the stored product gives the
+	// same bits as multiplying in the scan.
+	nw, nwy []float64
+	// spill holds the right-hand rows while a node is partitioned.
+	spill []int32
+}
+
+func newTreeScratch(b *binnedX, n int) *treeScratch {
+	widest := 0
+	for _, vals := range b.vals {
+		widest = max(widest, len(vals))
+	}
+	s := &treeScratch{
+		rows:    make([]int32, n),
+		all:     make([]int, len(b.bins)),
+		hist:    make([]binAcc, widest),
+		present: make([]int32, 0, widest),
+		nw:      make([]float64, n),
+		nwy:     make([]float64, n),
+		spill:   make([]int32, 0, n),
+	}
+	for i := range s.all {
+		s.all[i] = i
+	}
+	return s
+}
+
+// grower is the training state of one tree: the binned matrix it reads,
+// its RNG and its scratch.
+type grower struct {
+	t    *DecisionTree
+	b    *binnedX
+	y, w []float64
+	rng  *rand.Rand
+	*treeScratch
+}
+
+// binAcc is one histogram bin: the row count, which decides whether the
+// bin's value is a split candidate even when its weight is zero, and
+// the weighted row and positive totals.
+type binAcc struct {
+	n     int32
+	w, wp float64
+}
+
+func (g *grower) build(ctx context.Context, rows []int32, depth int) *treeNode {
+	nw, nwy := g.nw[:len(rows)], g.nwy[:len(rows)]
+	var wt, wp float64
+	for k, r := range rows {
+		nw[k], nwy[k] = g.w[r], g.w[r]*g.y[r]
+		wt += nw[k]
+		wp += nwy[k]
+	}
 	n := &treeNode{leaf: true}
 	if wt > 0 {
 		n.prob = wp / wt
 	}
-	if depth >= t.Params.MaxDepth || wt < t.Params.MinSplitWeight ||
+	p := g.t.Params
+	if depth >= p.MaxDepth || wt < p.MinSplitWeight ||
 		n.prob == 0 || n.prob == 1 || ctx.Err() != nil {
 		return n
 	}
-	feat, thresh, gain, ok := t.bestSplit(x, y, w, idx, wt, wp, rng)
+	feat, thresh, gain, ok := g.bestSplit(rows, wt, wp)
 	if !ok {
 		return n
 	}
 	// Weighted impurity decrease credits the chosen feature.
-	t.importance[feat] += gain * wt
-	var left, right []int
-	for _, i := range idx {
-		if x[i][feat] <= thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
+	g.t.importance[feat] += gain * wt
+	nl := g.partition(rows, feat, thresh)
+	if nl == 0 || nl == len(rows) {
 		return n
 	}
 	n.leaf = false
 	n.feature = feat
 	n.thresh = thresh
-	n.left = t.build(ctx, x, y, w, left, depth+1, rng)
-	n.right = t.build(ctx, x, y, w, right, depth+1, rng)
+	n.left = g.build(ctx, rows[:nl], depth+1)
+	n.right = g.build(ctx, rows[nl:], depth+1)
 	return n
 }
 
-// bestSplit finds the (feature, threshold) pair with the largest Gini
-// decrease. Because the encoded features take few distinct values, it
-// histograms per value rather than sorting instances.
-func (t *DecisionTree) bestSplit(x [][]float64, y, w []float64, idx []int, wt, wp float64, rng *rand.Rand) (int, float64, float64, bool) {
-	nf := len(x[idx[0]])
-	feats := make([]int, nf)
-	for i := range feats {
-		feats[i] = i
+// partition stably reorders rows so that those whose value of feat is
+// at most thresh come first, and returns how many they are. Both sides
+// keep their order, so every sum below this node adds its rows in the
+// same order as a scan of rows would.
+func (g *grower) partition(rows []int32, feat int, thresh float64) int {
+	vals, ids := g.b.vals[feat], g.b.bins[feat]
+	nl, spill := 0, g.spill[:0]
+	for _, r := range rows {
+		if vals[ids[r]] <= thresh {
+			rows[nl] = r
+			nl++
+		} else {
+			spill = append(spill, r)
+		}
 	}
-	if t.Params.MaxFeatures > 0 && t.Params.MaxFeatures < nf {
-		feats = stats.SampleWithoutReplacement(rng, nf, t.Params.MaxFeatures)
+	copy(rows[nl:], spill)
+	return nl
+}
+
+// bestSplit finds the (feature, threshold) pair with the largest Gini
+// decrease. For each candidate feature it sums the node's rows per bin,
+// in row order, then walks the bins that hold a row in ascending value
+// order; a threshold is the midpoint of two adjacent present values.
+func (g *grower) bestSplit(rows []int32, wt, wp float64) (int, float64, float64, bool) {
+	nf := len(g.b.bins)
+	nw, nwy := g.nw[:len(rows)], g.nwy[:len(rows)]
+	feats := g.all
+	if mf := g.t.Params.MaxFeatures; mf > 0 && mf < nf {
+		feats = stats.SampleWithoutReplacement(g.rng, nf, mf)
 		sort.Ints(feats)
 	}
+	minLeaf := g.t.Params.MinLeafWeight
 	parent := gini(wt, wp)
 	bestGain := 1e-12
 	bestFeat, bestThresh := -1, 0.0
-	type acc struct{ w, wp float64 }
 	for _, f := range feats {
-		hist := map[float64]acc{}
-		for _, i := range idx {
-			a := hist[x[i][f]]
-			a.w += w[i]
-			a.wp += w[i] * y[i]
-			hist[x[i][f]] = a
+		ids, present := g.b.bins[f], g.present[:0]
+		for k, r := range rows {
+			id := ids[r]
+			h := &g.hist[id]
+			if h.n == 0 {
+				present = append(present, id)
+			}
+			h.n++
+			h.w += nw[k]
+			h.wp += nwy[k]
 		}
-		if len(hist) < 2 {
-			continue
-		}
-		vals := make([]float64, 0, len(hist))
-		for v := range hist {
-			vals = append(vals, v)
-		}
-		sort.Float64s(vals)
+		slices.Sort(present)
+		vals := g.b.vals[f]
 		var lw, lwp float64
-		for k := 0; k < len(vals)-1; k++ {
-			a := hist[vals[k]]
-			lw += a.w
-			lwp += a.wp
+		for k := 0; k < len(present)-1; k++ {
+			h := &g.hist[present[k]]
+			lw += h.w
+			lwp += h.wp
 			rw, rwp := wt-lw, wp-lwp
-			if lw < t.Params.MinLeafWeight || rw < t.Params.MinLeafWeight {
+			if lw < minLeaf || rw < minLeaf {
 				continue
 			}
 			gain := parent - (lw*gini(lw, lwp)+rw*gini(rw, rwp))/wt
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = f
-				bestThresh = (vals[k] + vals[k+1]) / 2
+				bestThresh = (vals[present[k]] + vals[present[k+1]]) / 2
 			}
+		}
+		for _, k := range present {
+			g.hist[k] = binAcc{}
 		}
 	}
 	return bestFeat, bestThresh, bestGain, bestFeat >= 0
